@@ -205,16 +205,18 @@ experiments: table1 table2 table3 table4 table5 table6
                       the recorded rate (0 = as fast as possible);
                       --write-fixture FILE emits the deterministic
                       BGP4MP fixture CI replays
-             trace    flight-recorder run (requires building with
-                      --features trace): per-lookup-phase perf-counter
+             trace    flight-recorder run: per-lookup-phase perf-counter
                       attribution (direct-point hit vs trie descent, per
-                      dispatch tier), a BGP->writer->replica->lookup
+                      dispatch tier), the engine's sampled depth
+                      histogram checked against descent_depth over the
+                      gated batches, a BGP->writer->replica->lookup
                       convergence-span replay exported as Perfetto-
                       loadable Chrome trace JSON
                       (results/BENCH_trace_events.json), and the
-                      recorder's own overhead at 1-in-64 sampling;
-                      writes results/BENCH_trace.json and exits nonzero
-                      on a broken span chain or phase-counter mismatch
+                      recorder's own overhead at 1-in-64 sampling over
+                      alternating pairs; writes results/BENCH_trace.json
+                      and exits nonzero on a broken span chain or a
+                      sampled-depth mismatch
              vrf      multi-tenant VRF scale: compile 1024 tenant FIBs
                       (4096 under --full) from one base feed plus
                       per-tenant deltas into a shared leaf arena with
@@ -228,10 +230,10 @@ experiments: table1 table2 table3 table4 table5 table6
                       results/BENCH_vrf.json and exits nonzero on any
                       violation
              stats    with no dataset argument: live-telemetry replay —
-                      a seeded lookup + churn workload whose counters are
-                      reconciled against the script, dumped as Prometheus
-                      text and results/BENCH_telemetry.json (requires
-                      building with --features telemetry); --prometheus
+                      a seeded churn workload whose update and RCU
+                      counters are reconciled against the script, dumped
+                      as Prometheus text and results/BENCH_telemetry.json;
+                      --prometheus
                       additionally exercises the engine and a BGP session
                       and merges their registries into the same scrape
              stats <dataset|SYN1-...|SYN2-...>   structural diagnostics
@@ -2838,36 +2840,38 @@ fn batch(ctx: &mut Ctx) {
 
 // ------------------------------------------------------------ diagnostics
 
-/// `repro stats`: with a dataset argument, structural diagnostics of the
-/// dataset; with none, the live-telemetry replay (`telemetry` feature).
 /// `repro trace [--quick] [--threads N]`: the flight-recorder run.
 ///
-/// Three phases:
+/// Four phases:
 ///
 /// 1. **Perf attribution.** Traffic against REAL-Tier1-A is partitioned
-///    by [`poptrie::phase::LookupPhase`] (direct-point hit vs. trie
-///    descent) and each partition is measured per dispatch tier under a
-///    `perf_event_open` counter group, attributing cycles,
-///    instructions, L1d/LLC read misses and branch misses per lookup to
-///    each phase. The partition is cross-checked against the live phase
-///    counters — a mismatch means the instrumentation lies, and exits
-///    nonzero.
-/// 2. **Convergence spans.** A BGP session replays a synthetic UPDATE
+///    by [`descent_depth`](poptrie::trie::PoptrieImpl::descent_depth)
+///    (0 = direct-point hit, else trie descent) and each partition is
+///    measured per dispatch tier under a `perf_event_open` counter
+///    group, attributing cycles, instructions, L1d/LLC read misses and
+///    branch misses per lookup to each phase.
+/// 2. **Sampled depth.** A one-worker engine serves the same traffic in
+///    fixed batches with a 1-in-N recorder attached. Its
+///    `lookup_depth` histogram must equal the histogram `descent_depth`
+///    gives over exactly the batches the deterministic gate selects
+///    (0, N, 2N, …); any difference exits nonzero.
+/// 3. **Convergence spans.** A BGP session replays a synthetic UPDATE
 ///    trace into a recorder-equipped engine (2 NUMA replicas); every
 ///    accepted span must surface as writer apply, per-replica publish
 ///    and a worker snapshot adoption covering its version. The drained
 ///    rings export as Chrome trace-event JSON
 ///    (`results/BENCH_trace_events.json`, loadable in Perfetto).
-/// 3. **Overhead.** The same lookup workload runs with the recorder
-///    absent and attached at 1-in-64 sampling; the throughput delta is
-///    the price of leaving the recorder on.
+/// 4. **Overhead.** The same lookup workload runs with the recorder
+///    absent and attached at 1-in-64 sampling, in alternating order over
+///    several pairs; the median per-pair throughput delta is the price
+///    of leaving the recorder on.
 ///
-/// Everything lands in `results/BENCH_trace.json`; a malformed document
-/// or a broken span chain exits nonzero so CI can gate on it.
-#[cfg(feature = "trace")]
+/// Everything lands in `results/BENCH_trace.json`; a malformed document,
+/// a sampled-depth mismatch or a broken span chain exits nonzero so CI
+/// can gate on it.
 fn trace_cmd(ctx: &mut Ctx, threads: usize) {
-    use poptrie::phase;
     use poptrie::sync::{RouteUpdate, SharedFib};
+    use poptrie::telemetry::DEPTH_BUCKETS;
     use poptrie::BatchBackend;
     use poptrie_bgp::wire::{Message, OpenMsg};
     use poptrie_bgp::{Event, NextHopInterner, RouteEvent, Session, SessionConfig, State};
@@ -2883,7 +2887,7 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     use std::sync::Arc;
     use std::time::Duration;
 
-    section("Flight recorder: perf attribution, convergence spans, recorder overhead");
+    section("Flight recorder: perf attribution, sampled depth, convergence spans, overhead");
     let mut gate_failures = 0u32;
 
     // ------------------------------------------------- phase attribution
@@ -2893,19 +2897,20 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     let trace = RealTrace::synthesize(&dataset, TraceConfig::default());
     let packets = trace.packet_array(if ctx.quick { 1 << 16 } else { 1 << 19 });
 
-    let mut direct_keys: Vec<u32> = Vec::new();
-    let mut descent_keys: Vec<u32> = Vec::new();
-    for &k in &packets {
-        match fib.poptrie().lookup_phase(k) {
-            phase::LookupPhase::Direct => direct_keys.push(k),
-            phase::LookupPhase::Descent(_) => descent_keys.push(k),
-        }
-    }
+    let (direct_keys, descent_keys): (Vec<u32>, Vec<u32>) = packets
+        .iter()
+        .partition(|&&k| fib.poptrie().descent_depth(k) == 0);
+    let descent_levels: u64 = descent_keys
+        .iter()
+        .map(|&k| u64::from(fib.poptrie().descent_depth(k)))
+        .sum();
+    let mean_descent_depth = descent_levels as f64 / descent_keys.len().max(1) as f64;
     println!(
-        "[trace] {} packets: {} direct-point hits, {} trie descents",
+        "[trace] {} packets: {} direct-point hits, {} trie descents (mean depth {:.2})",
         packets.len(),
         direct_keys.len(),
-        descent_keys.len()
+        descent_keys.len(),
+        mean_descent_depth
     );
 
     let mut tiers = vec![BatchBackend::Scalar];
@@ -2914,37 +2919,6 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
             tiers.push(t);
         }
     }
-
-    // Cross-check the live phase counters against the static partition
-    // on every tier: each key must be counted exactly once, on the same
-    // side `lookup_phase` predicted, by scalar and SIMD walkers alike.
-    for &tier in &tiers {
-        fib.set_batch_backend(tier);
-        phase::reset();
-        let mut out = vec![0 as poptrie::NextHop; packets.len()];
-        fib.poptrie().lookup_batch(&packets, &mut out);
-        let ps = phase::snapshot();
-        let ok =
-            ps.direct_hits == direct_keys.len() as u64 && ps.descents == descent_keys.len() as u64;
-        println!(
-            "[trace] phase counters on {:<6}: {} direct, {} descents (mean depth {:.2})  {}",
-            tier.name(),
-            ps.direct_hits,
-            ps.descents,
-            ps.mean_descent_depth(),
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        if !ok {
-            gate_failures += 1;
-        }
-    }
-    let mean_descent_depth = {
-        fib.set_batch_backend(BatchBackend::Scalar);
-        phase::reset();
-        let mut out = vec![0 as poptrie::NextHop; packets.len()];
-        fib.poptrie().lookup_batch(&packets, &mut out);
-        phase::snapshot().mean_descent_depth()
-    };
 
     // One measured cell: `rounds` batched passes over `keys` under the
     // perf counter group, timed with the monotonic clock as well so a
@@ -3042,6 +3016,66 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
             "[trace] note: no PMU access (perf_event_paranoid/container); cycles are TSC-derived"
         );
     }
+
+    // ------------------------------------------------------ sampled depth
+    // One worker fed in order through its own queue, so the recorder's
+    // deterministic gate selects batches 0, N, 2N, … of this stream; the
+    // engine's histogram must be exactly their keys' descent depths.
+    let depth_sample = 8u64;
+    let bench_fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(dataset.to_rib(), pcfg));
+    let depth_batches: Vec<Arc<[u32]>> = packets.chunks(256).map(Arc::from).collect();
+    let mut want_depth = [0u64; DEPTH_BUCKETS];
+    let snap = bench_fib.snapshot();
+    for batch in depth_batches.iter().step_by(depth_sample as usize) {
+        for &k in batch.iter() {
+            want_depth[snap.descent_depth(k) as usize] += 1;
+        }
+    }
+    drop(snap);
+    let depth_engine = Engine::start(
+        Arc::clone(&bench_fib),
+        EngineConfig::new(1)
+            .pin_workers(false)
+            .recorder(Recorder::new(RecorderConfig {
+                capacity: 1 << 12,
+                sample: depth_sample,
+            })),
+    );
+    let depth_ingress = depth_engine.ingress();
+    for batch in &depth_batches {
+        let mut batch = Arc::clone(batch);
+        while let Err(back) = depth_ingress.try_submit_to(0, batch) {
+            batch = back;
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    let depth_telemetry = depth_engine.telemetry();
+    depth_engine.shutdown(Duration::from_secs(30));
+    let got_depth = depth_telemetry.lookup_depth.counts();
+    let depth_exact = got_depth == want_depth;
+    println!(
+        "\n[trace] sampled depth at 1-in-{depth_sample} over {} batches: {} keys sampled, \
+         histogram {:?}  {}",
+        depth_batches.len(),
+        got_depth.iter().sum::<u64>(),
+        &got_depth[..got_depth.iter().rposition(|&n| n > 0).map_or(1, |d| d + 1)],
+        if depth_exact { "ok" } else { "MISMATCH" }
+    );
+    if !depth_exact {
+        println!("[trace] descent_depth over the gated batches: {want_depth:?}");
+        gate_failures += 1;
+    }
+    let depth_json = format!(
+        "{{\"sample\": {depth_sample}, \"batches\": {}, \"keys\": {}, \"histogram\": [{}], \
+         \"exact\": {depth_exact}}}",
+        depth_batches.len(),
+        got_depth.iter().sum::<u64>(),
+        got_depth
+            .iter()
+            .map(u64::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     // --------------------------------------------- cross-layer span run
     println!();
@@ -3288,50 +3322,77 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     }
 
     let overhead_sample = 64u64;
-    let bench_fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(dataset.to_rib(), pcfg));
     let pool: Vec<Arc<[u32]>> = packets
         .chunks(4096)
         .take(16)
         .map(|c| Arc::from(c.to_vec()))
         .collect();
     let batches = if ctx.quick { 500 } else { 4_000 };
+    let pairs = 7;
     // One discarded warmup (page cache, thread spawn, frequency ramp),
-    // then best-of-two per configuration: engine start/stop noise at
-    // this scale otherwise dwarfs the effect being measured.
+    // then alternating pairs — base first on even pairs, traced first on
+    // odd — so drift over the run (thermal, neighbours) cancels instead
+    // of landing on whichever side always runs second.
     engine_mlps(&bench_fib, threads.max(1), None, batches / 4, &pool);
-    let run_traced = || {
-        engine_mlps(
-            &bench_fib,
-            threads.max(1),
-            Some(Recorder::new(RecorderConfig {
+    let run = |traced: bool| {
+        let recorder = traced.then(|| {
+            Recorder::new(RecorderConfig {
                 capacity: 4096,
                 sample: overhead_sample,
-            })),
-            batches,
-            &pool,
-        )
+            })
+        });
+        engine_mlps(&bench_fib, threads.max(1), recorder, batches, &pool)
     };
-    let run_base = || engine_mlps(&bench_fib, threads.max(1), None, batches, &pool);
-    let baseline_mlps = run_base().max(run_base());
-    let traced_mlps = run_traced().max(run_traced());
-    let overhead_pct = (1.0 - traced_mlps / baseline_mlps) * 100.0;
+    let (mut base_runs, mut traced_runs, mut pair_pct) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (b, t) = if i % 2 == 0 {
+            let b = run(false);
+            (b, run(true))
+        } else {
+            let t = run(true);
+            (run(false), t)
+        };
+        base_runs.push(b);
+        traced_runs.push(t);
+        pair_pct.push((1.0 - t / b) * 100.0);
+    }
+    // (median, min, max): the median is the figure, min/max its spread.
+    fn summary(xs: &[f64]) -> (f64, f64, f64) {
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        (v[v.len() / 2], v[0], v[v.len() - 1])
+    }
+    let summary_json = |xs: &[f64]| {
+        let (med, lo, hi) = summary(xs);
+        format!("{{\"median\": {med:.3}, \"min\": {lo:.3}, \"max\": {hi:.3}}}")
+    };
+    let (baseline_mlps, traced_mlps) = (summary(&base_runs).0, summary(&traced_runs).0);
+    let (overhead_pct, pct_lo, pct_hi) = summary(&pair_pct);
     println!(
-        "\n[trace] recorder overhead at 1-in-{overhead_sample} sampling: \
-         {baseline_mlps:.2} Mlps untraced vs {traced_mlps:.2} Mlps traced ({overhead_pct:+.2}%)"
+        "\n[trace] recorder overhead at 1-in-{overhead_sample} sampling over {pairs} alternating \
+         pairs: median {baseline_mlps:.2} Mlps untraced vs {traced_mlps:.2} Mlps traced, \
+         median per-pair delta {overhead_pct:+.2}% (range {pct_lo:+.2}%..{pct_hi:+.2}%)"
+    );
+    let overhead_json = format!(
+        "{{\"sample\": {overhead_sample}, \"pairs\": {pairs}, \"baseline_mlps\": \
+         {baseline_mlps:.3}, \"traced_mlps\": {traced_mlps:.3}, \"overhead_pct\": \
+         {overhead_pct:.3}, \"baseline\": {}, \"traced\": {}, \"pair_overhead_pct\": {}}}",
+        summary_json(&base_runs),
+        summary_json(&traced_runs),
+        summary_json(&pair_pct),
     );
 
     // ------------------------------------------------------ the artifact
     let json = format!(
-        "{{\n  \"schema\": \"poptrie-trace/1\",\n  \"quick\": {},\n  \"threads\": {},\n  \
+        "{{\n  \"schema\": \"poptrie-trace/2\",\n  \"quick\": {},\n  \"threads\": {},\n  \
          \"phases\": {phase_json},\n  \"mean_descent_depth\": {mean_descent_depth:.3},\n  \
+         \"sampled_depth\": {depth_json},\n  \
          \"spans\": {{\"allocated\": {spans_allocated}, \"accepted\": {}, \"applied\": \
          {applied_of_accepted}, \"served\": {served}, \"replicas\": {}, \
          \"replica_publishes\": {replica_publishes}, \"routes\": {accepted_routes}}},\n  \
          \"events\": {{\"rings\": {}, \"recorded\": {recorded}, \"overwritten\": \
          {overwritten}, \"sampled_out\": {sampled_out}}},\n  \
-         \"overhead\": {{\"sample\": {overhead_sample}, \"baseline_mlps\": \
-         {baseline_mlps:.3}, \"traced_mlps\": {traced_mlps:.3}, \"overhead_pct\": \
-         {overhead_pct:.3}}}\n}}\n",
+         \"overhead\": {overhead_json}\n}}\n",
         ctx.quick,
         threads.max(1),
         accepted.len(),
@@ -3348,8 +3409,10 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
             "phases",
             "cycles_per_lookup",
             "l1d_misses_per_lookup",
+            "sampled_depth",
             "spans",
             "overhead",
+            "overhead_pct",
         ],
     ) {
         eprintln!("error: results/BENCH_trace.json is malformed: {e}");
@@ -3363,18 +3426,8 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     }
 }
 
-/// Without the `trace` feature there is no recorder to run; say how to
-/// get one.
-#[cfg(not(feature = "trace"))]
-fn trace_cmd(_ctx: &mut Ctx, _threads: usize) {
-    eprintln!(
-        "repro trace needs the flight recorder compiled in:\n\
-         \n    cargo run --release -p poptrie-bench --features trace --bin repro -- trace --quick\n\
-         \nThe default build deliberately contains no recorder code (see DESIGN.md §12)."
-    );
-    std::process::exit(2);
-}
-
+/// `repro stats`: with a dataset argument, structural diagnostics of the
+/// dataset; with none, the live-telemetry replay.
 fn stats(ctx: &mut Ctx, args: &[String]) {
     let unified = args.iter().any(|a| a == "--prometheus");
     match args.iter().filter(|a| !a.starts_with("--")).nth(1).cloned() {
@@ -3449,23 +3502,23 @@ fn dataset_stats(ctx: &mut Ctx, name: &str) {
     }
 }
 
-/// The live-telemetry replay: a seeded lookup + churn workload against a
-/// `SharedFib`, with every process-wide counter reconciled against what
-/// the script did, a Prometheus-format dump, and a machine-readable
-/// `results/BENCH_telemetry.json`. The churn phase is the Fig. 12 regime
-/// (lookups served while updates land); the reconciliation is the
-/// acceptance check that the instrumentation counts what it claims to.
+/// The live-telemetry replay: a seeded churn workload against a
+/// `SharedFib`, with every process-wide update and RCU counter reconciled
+/// against what the script did, a Prometheus-format dump, and a
+/// machine-readable `results/BENCH_telemetry.json`. The reconciliation is
+/// the acceptance check that the instrumentation counts what it claims
+/// to. Lookups are not counted; their depth is sampled by the engine's
+/// recorder (see `repro trace`).
 ///
 /// With `--prometheus` the dump additionally exercises the forwarding
 /// engine and a BGP session and merges their registries into the core
 /// FIB registry, so one scrape covers the whole stack
 /// (`poptrie_*` + `poptrie_engine_*` + `poptrie_bgp_*`).
-#[cfg(feature = "telemetry")]
 fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
     use poptrie::sync::SharedFib;
     use poptrie::telemetry;
 
-    section("Live telemetry: seeded lookup + churn replay (REAL-RENET)");
+    section("Live telemetry: seeded churn replay (REAL-RENET)");
     telemetry::reset();
     let dataset = ctx.dataset("REAL-RENET").clone();
     let shared = SharedFib::compile(
@@ -3476,20 +3529,6 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
             .build()
             .unwrap(),
     );
-
-    // Lookup phase: half the trace scalar, half batched, one snapshot.
-    let trace = RealTrace::synthesize(&dataset, TraceConfig::default());
-    let packets = trace.packet_array(if ctx.quick { 1 << 16 } else { 1 << 20 });
-    let half = packets.len() / 2;
-    let snap = shared.snapshot();
-    let mut acc = 0u64;
-    for &k in &packets[..half] {
-        acc = acc.wrapping_add(snap.lookup_raw(k) as u64);
-    }
-    let mut out = vec![0 as poptrie::NextHop; packets.len() - half];
-    snap.lookup_batch(&packets[half..], &mut out);
-    acc = acc.wrapping_add(out.iter().map(|&nh| nh as u64).sum::<u64>());
-    drop(snap);
 
     // Churn phase: an adversarial seeded stream through the RCU writer,
     // with a reader parked on a pre-churn snapshot for the first half so
@@ -3543,22 +3582,6 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
         }
     };
     println!("reconciliation (counter vs script):");
-    check("lookups (scalar)", snap.lookups_scalar, half as u64);
-    check(
-        "lookups (batched)",
-        snap.lookups_batched,
-        (packets.len() - half) as u64,
-    );
-    check(
-        "depth histogram mass",
-        snap.depth.iter().sum::<u64>(),
-        packets.len() as u64,
-    );
-    check(
-        "direct hits + leaf resolutions",
-        snap.direct_hits + snap.leafvec_resolutions + snap.vector_resolutions,
-        packets.len() as u64,
-    );
     check("applied announces", snap.announces, announces);
     check("applied withdraws", snap.withdraws, withdraws);
     check(
@@ -3568,7 +3591,7 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
     );
     check("rcu publishes", snap.rcu_publishes, publishes);
     println!(
-        "  (lookup checksum {acc:#x}, peak outstanding snapshots {})",
+        "  (peak outstanding snapshots {})",
         snap.rcu_outstanding_peak
     );
 
@@ -3601,7 +3624,6 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
 /// (handshake + one UPDATE), then return their telemetry registries
 /// merged, so `repro stats --prometheus` emits core, engine and BGP
 /// metric families in a single Prometheus document.
-#[cfg(feature = "telemetry")]
 fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     use poptrie::sync::SharedFib;
     use poptrie_bgp::wire::{Message, OpenMsg, UpdateMsg};
@@ -3620,7 +3642,15 @@ fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     }
     let pcfg = PoptrieConfig::new().direct_bits(18).build().unwrap();
     let fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(rib, pcfg));
-    let engine = Engine::start(Arc::clone(&fib), EngineConfig::new(2).pin_workers(false));
+    // A recorder sampling every batch fills the engine's lookup-depth
+    // histogram and adds the recorder's own `poptrie_trace_*` families.
+    let recorder = poptrie_trace::Recorder::with_defaults();
+    let engine = Engine::start(
+        Arc::clone(&fib),
+        EngineConfig::new(2)
+            .pin_workers(false)
+            .recorder(recorder.clone()),
+    );
     let ingress = engine.ingress();
     let keys: Arc<[u32]> = Arc::from(
         (0..1024u32)
@@ -3643,6 +3673,7 @@ fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     let engine_telemetry = engine.telemetry();
     engine.shutdown(Duration::from_secs(10));
     let mut reg = engine_telemetry.registry();
+    reg.merge(recorder.registry());
 
     // The BGP side: an in-memory handshake plus one UPDATE populates the
     // session, message and route counters.
@@ -3676,19 +3707,6 @@ fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     session.drain_events();
     reg.merge(session_stats.registry());
     reg
-}
-
-/// Without the `telemetry` feature the counters do not exist; point at
-/// the feature and fall back to the structural diagnostics.
-#[cfg(not(feature = "telemetry"))]
-fn telemetry_stats(ctx: &mut Ctx, _unified: bool) {
-    eprintln!(
-        "repro stats with no dataset argument is the live-telemetry replay, which\n\
-         needs the counters compiled in:\n\
-         \n    cargo run --release -p poptrie-bench --features telemetry --bin repro -- stats\n\
-         \nfalling back to structural diagnostics of REAL-Tier1-A.\n"
-    );
-    dataset_stats(ctx, "REAL-Tier1-A");
 }
 
 // ----------------------------------------------------------------- §4.9

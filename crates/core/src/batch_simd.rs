@@ -75,7 +75,6 @@ fn step_lane<K: Bits, N: NodeRepr>(
     leaf_mask: &mut u32,
     nodes_ptr: *const N,
     leaves_ptr: *const NextHop,
-    #[allow(unused_variables)] s: u32,
 ) {
     let v = key.extract(offset[i], 6);
     let internal = ((vector >> v) & 1) as u32;
@@ -91,18 +90,6 @@ fn step_lane<K: Bits, N: NodeRepr>(
         internal == 0 || offset[i] < K::BITS,
         "traversal ran past the key width; corrupt trie"
     );
-    #[cfg(feature = "telemetry")]
-    if internal == 0 {
-        crate::telemetry::record_leaf_resolution(
-            true,
-            (offset[i] - 6 - s) / 6 + 1,
-            N::COMPRESSES_LEAVES,
-        );
-    }
-    #[cfg(feature = "trace")]
-    if internal == 0 {
-        crate::phase::record_phase_descent((offset[i] - 6 - s) / 6 + 1);
-    }
     let next_line = (nodes_ptr as *const u8).wrapping_add(next as usize * N::SIZE);
     let leaf_line =
         (leaves_ptr as *const u8).wrapping_add(li as usize * core::mem::size_of::<NextHop>());
@@ -126,20 +113,6 @@ unsafe fn walk<K: Bits, N: NodeRepr, const WIDE: bool>(
 ) {
     let n = keys.len();
     debug_assert!(n <= SIMD_LANES && n == out.len());
-    #[cfg(feature = "telemetry")]
-    {
-        // Account the wide chunk as BATCH_LANES-sized chunk equivalents
-        // so the counters (and the lane-fill histogram buckets, sized
-        // 0..=BATCH_LANES) reconcile identically on every dispatch tier.
-        let mut left = n;
-        loop {
-            crate::telemetry::record_batch_call(left.min(BATCH_LANES));
-            if left <= BATCH_LANES {
-                break;
-            }
-            left -= BATCH_LANES;
-        }
-    }
     let mut index = [0u32; SIMD_LANES];
     let mut offset = [0u32; SIMD_LANES];
     let mut leaf = [0u32; SIMD_LANES];
@@ -215,7 +188,6 @@ unsafe fn walk<K: Bits, N: NodeRepr, const WIDE: bool>(
                 &mut leaf_mask,
                 nodes_ptr,
                 leaves_ptr,
-                t.s as u32,
             );
         }
     }

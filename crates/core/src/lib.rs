@@ -63,13 +63,10 @@ pub mod builder;
 pub mod config;
 pub mod ids;
 pub mod node;
-#[cfg(feature = "trace")]
-pub mod phase;
 pub mod prelude;
 pub mod serial;
 pub mod shared_leaves;
 pub mod sync;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod trie;
 pub mod update;

@@ -103,7 +103,6 @@ impl<T> RcuCell<T> {
             };
             core::mem::replace(&mut *g, next)
         };
-        #[cfg(feature = "telemetry")]
         crate::telemetry::record_rcu_publish(Arc::strong_count(&old) as u64 - 1);
         drop(old);
     }

@@ -1,22 +1,21 @@
-//! Runtime telemetry for the Poptrie hot paths (the `telemetry` feature).
+//! Runtime telemetry for the Poptrie update path.
 //!
-//! The paper's evaluation is a set of offline measurements: lookup rate by
-//! traffic pattern (Figs. 8–10), prefix-length/descent-depth breakdowns
-//! (Fig. 11), memory footprints (Tables 2, 3, 5) and per-update work
-//! (Table 6, §4.9). This module keeps the same signals flowing from a
-//! *live* FIB: process-wide, lock-free counters that the lookup and
-//! update paths increment and that [`snapshot`] materializes into a
-//! [`TelemetrySnapshot`] (human-readable struct) or, via
-//! [`TelemetrySnapshot::registry`], a [`TelemetryRegistry`] rendering
-//! Prometheus text or JSON.
+//! The paper explains update cost per update: structural work and
+//! latency of each incremental patch (Table 6, §4.9). This module keeps
+//! those signals flowing from a *live* FIB: process-wide, lock-free
+//! counters that the update and RCU paths increment and that
+//! [`snapshot`] materializes into a [`TelemetrySnapshot`]
+//! (human-readable struct) or, via [`TelemetrySnapshot::registry`], a
+//! [`TelemetryRegistry`] rendering Prometheus text or JSON.
 //!
-//! # Zero cost when disabled
+//! # Always on, once per update
 //!
-//! Every instrumentation site in `trie.rs`, `update.rs` and `sync.rs` is
-//! a `#[cfg(feature = "telemetry")]` block, so the default build compiles
-//! to exactly the uninstrumented code — no branch, no no-op call, no
-//! symbol. CI asserts the default release rlib contains no telemetry
-//! metric names.
+//! Every build carries these counters. They cost one record per applied
+//! update, rebuild or RCU publish — each of which already rewrites trie
+//! structure or swaps a pointer — and nothing on the lookup path. Lookup
+//! depth is not counted here at all: [`PoptrieImpl::descent_depth`] is a
+//! pure query, and the forwarding engine applies it to the flight
+//! recorder's 1-in-N sampled batches instead of taxing every lookup.
 //!
 //! # Counter semantics
 //!
@@ -26,16 +25,9 @@
 //! per-thread shards — see `poptrie-telemetry` for the memory-ordering
 //! contract. [`reset`] zeroes everything; serialize it against the
 //! workload you want to measure.
-//!
-//! Depth accounting: a lookup resolved entirely by the §3.4 direct table
-//! records depth 0; one that descends through `d` internal nodes records
-//! depth `d`. Every lookup records exactly one depth observation, so the
-//! histogram's mass equals the lookup total — the reconciliation the
-//! differential test (`tests/telemetry.rs` in the umbrella crate)
-//! enforces.
 
 use poptrie_bitops::Bits;
-use poptrie_telemetry::{Counter, Gauge, Histogram, Log2Histogram, LOG2_BUCKETS};
+use poptrie_telemetry::{Counter, Gauge, Log2Histogram, LOG2_BUCKETS};
 
 pub use poptrie_buddy::Fragmentation;
 pub use poptrie_telemetry::{Metric, MetricValue, TelemetryRegistry};
@@ -44,27 +36,13 @@ use crate::node::NodeRepr;
 use crate::trie::PoptrieImpl;
 use crate::update::UpdateStats;
 
-/// Buckets in the descent-depth histogram. Depth 0 is a direct-table hit;
-/// the deepest possible descent is `ceil((K::BITS - s) / 6)` — 22 for
+/// Buckets in a descent-depth histogram (see
+/// [`PoptrieImpl::descent_depth`]). Depth 0 is a direct-table hit; the
+/// deepest possible descent is `ceil((K::BITS - s) / 6)` — 22 for
 /// `u128` with `s = 0` — so 24 buckets never clamp in practice.
 pub const DEPTH_BUCKETS: usize = 24;
 
-/// Buckets in the batch-lane fill histogram: a chunk carries 0..=[`BATCH_LANES`]
-/// keys.
-///
-/// [`BATCH_LANES`]: crate::BATCH_LANES
-pub const FILL_BUCKETS: usize = crate::BATCH_LANES + 1;
-
 // ---- the process-wide metrics ------------------------------------------
-
-static LOOKUPS_SCALAR: Counter = Counter::new();
-static LOOKUPS_BATCHED: Counter = Counter::new();
-static DIRECT_HITS: Counter = Counter::new();
-static RES_LEAFVEC: Counter = Counter::new();
-static RES_VECTOR: Counter = Counter::new();
-static DEPTH: Histogram<DEPTH_BUCKETS> = Histogram::new();
-static BATCH_CALLS: Counter = Counter::new();
-static BATCH_FILL: Histogram<FILL_BUCKETS> = Histogram::new();
 
 static ANNOUNCES: Counter = Counter::new();
 static WITHDRAWS: Counter = Counter::new();
@@ -79,44 +57,7 @@ static LEAVES_FREED: Counter = Counter::new();
 static RCU_PUBLISHES: Counter = Counter::new();
 static RCU_OUTSTANDING_PEAK: Gauge = Gauge::new();
 
-// ---- hot-path hooks (called from cfg-gated sites in trie/update/sync) --
-
-/// A lookup fully resolved by the direct-pointing table (depth 0).
-#[inline]
-pub(crate) fn record_direct_hit(batched: bool) {
-    if batched {
-        LOOKUPS_BATCHED.inc();
-    } else {
-        LOOKUPS_SCALAR.inc();
-    }
-    DIRECT_HITS.inc();
-    DEPTH.record(0);
-}
-
-/// A lookup that descended `depth` internal nodes and resolved a leaf.
-/// `leafvec` says whether the terminal node ranks leaves through the §3.3
-/// compressed `leafvec` (`Node24`) or the plain vector (`Node16`).
-#[inline]
-pub(crate) fn record_leaf_resolution(batched: bool, depth: u32, leafvec: bool) {
-    if batched {
-        LOOKUPS_BATCHED.inc();
-    } else {
-        LOOKUPS_SCALAR.inc();
-    }
-    if leafvec {
-        RES_LEAFVEC.inc();
-    } else {
-        RES_VECTOR.inc();
-    }
-    DEPTH.record(depth as usize);
-}
-
-/// One `lookup_batch_chunk` invocation carrying `fill` keys.
-#[inline]
-pub(crate) fn record_batch_call(fill: usize) {
-    BATCH_CALLS.inc();
-    BATCH_FILL.record(fill);
-}
+// ---- update-path hooks (called from update.rs and sync.rs) ------------
 
 /// One applied route update (announce or withdraw that changed the RIB):
 /// its wall latency in TSC cycles and the structural work it performed
@@ -188,23 +129,6 @@ pub fn structure_gauges<K: Bits, N: NodeRepr>(fib: &PoptrieImpl<K, N>) -> Struct
 /// ([`TelemetrySnapshot::attach_structure`]).
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
-    /// Scalar [`lookup`](crate::Poptrie::lookup)/`lookup_raw` calls.
-    pub lookups_scalar: u64,
-    /// Keys resolved through the batched path.
-    pub lookups_batched: u64,
-    /// Lookups fully resolved by the §3.4 direct table (depth 0).
-    pub direct_hits: u64,
-    /// Leaf resolutions ranked through the §3.3 compressed `leafvec`.
-    pub leafvec_resolutions: u64,
-    /// Leaf resolutions ranked through the plain vector (`PoptrieBasic`).
-    pub vector_resolutions: u64,
-    /// Descent-depth histogram; index = internal nodes visited, 0 = direct
-    /// hit. Mass equals `lookups_scalar + lookups_batched`.
-    pub depth: [u64; DEPTH_BUCKETS],
-    /// `lookup_batch_chunk` invocations.
-    pub batch_calls: u64,
-    /// Batch-lane fill histogram; index = keys in the chunk.
-    pub batch_fill: [u64; FILL_BUCKETS],
     /// Applied announces (inserts that changed the RIB).
     pub announces: u64,
     /// Applied withdraws.
@@ -238,14 +162,6 @@ pub struct TelemetrySnapshot {
 /// Materialize the current process-wide counters.
 pub fn snapshot() -> TelemetrySnapshot {
     TelemetrySnapshot {
-        lookups_scalar: LOOKUPS_SCALAR.get(),
-        lookups_batched: LOOKUPS_BATCHED.get(),
-        direct_hits: DIRECT_HITS.get(),
-        leafvec_resolutions: RES_LEAFVEC.get(),
-        vector_resolutions: RES_VECTOR.get(),
-        depth: DEPTH.counts(),
-        batch_calls: BATCH_CALLS.get(),
-        batch_fill: BATCH_FILL.counts(),
         announces: ANNOUNCES.get(),
         withdraws: WITHDRAWS.get(),
         rebuilds: REBUILDS.get(),
@@ -266,14 +182,6 @@ pub fn snapshot() -> TelemetrySnapshot {
 /// against the workload being measured (tests that assert exact totals
 /// must own the process).
 pub fn reset() {
-    LOOKUPS_SCALAR.reset();
-    LOOKUPS_BATCHED.reset();
-    DIRECT_HITS.reset();
-    RES_LEAFVEC.reset();
-    RES_VECTOR.reset();
-    DEPTH.reset();
-    BATCH_CALLS.reset();
-    BATCH_FILL.reset();
     ANNOUNCES.reset();
     WITHDRAWS.reset();
     REBUILDS.reset();
@@ -288,11 +196,6 @@ pub fn reset() {
 }
 
 impl TelemetrySnapshot {
-    /// Total lookups across both paths.
-    pub fn lookups_total(&self) -> u64 {
-        self.lookups_scalar + self.lookups_batched
-    }
-
     /// Total applied route updates.
     pub fn updates_total(&self) -> u64 {
         self.announces + self.withdraws
@@ -309,80 +212,6 @@ impl TelemetrySnapshot {
     /// or JSON ([`TelemetryRegistry::render_json`]).
     pub fn registry(&self) -> TelemetryRegistry {
         let mut r = TelemetryRegistry::new();
-        r.counter(
-            "poptrie_lookups_total",
-            "Longest-prefix-match lookups performed, by execution mode.",
-            &[("mode", "scalar")],
-            self.lookups_scalar,
-        );
-        r.counter(
-            "poptrie_lookups_total",
-            "Longest-prefix-match lookups performed, by execution mode.",
-            &[("mode", "batched")],
-            self.lookups_batched,
-        );
-        r.counter(
-            "poptrie_lookup_direct_hits_total",
-            "Lookups fully resolved by the direct-pointing table (sec. 3.4).",
-            &[],
-            self.direct_hits,
-        );
-        r.counter(
-            "poptrie_lookup_resolutions_total",
-            "Leaf resolutions by ranking mechanism: compressed leafvec (sec. 3.3) or plain vector.",
-            &[("kind", "leafvec")],
-            self.leafvec_resolutions,
-        );
-        r.counter(
-            "poptrie_lookup_resolutions_total",
-            "Leaf resolutions by ranking mechanism: compressed leafvec (sec. 3.3) or plain vector.",
-            &[("kind", "vector")],
-            self.vector_resolutions,
-        );
-        let depth_buckets: Vec<(f64, u64)> = self
-            .depth
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as f64, n))
-            .collect();
-        let depth_sum: u64 = self
-            .depth
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| i as u64 * n)
-            .sum();
-        r.histogram(
-            "poptrie_lookup_depth",
-            "Trie descent depth per lookup: internal nodes visited (0 = direct-table hit; cf. Fig. 11).",
-            &[],
-            &depth_buckets,
-            depth_sum as f64,
-        );
-        r.counter(
-            "poptrie_batch_calls_total",
-            "Interleaved batched-lookup chunk invocations.",
-            &[],
-            self.batch_calls,
-        );
-        let fill_buckets: Vec<(f64, u64)> = self
-            .batch_fill
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as f64, n))
-            .collect();
-        let fill_sum: u64 = self
-            .batch_fill
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| i as u64 * n)
-            .sum();
-        r.histogram(
-            "poptrie_batch_fill",
-            "Keys carried per batched-lookup chunk (lane occupancy out of BATCH_LANES).",
-            &[],
-            &fill_buckets,
-            fill_sum as f64,
-        );
         r.counter(
             "poptrie_updates_total",
             "Applied route updates, by operation.",

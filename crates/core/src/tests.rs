@@ -203,6 +203,135 @@ mod build {
     }
 }
 
+/// `descent_depth` against a reference computed from the RIB alone. The
+/// trie level at bit offset `o` is an internal node iff some route longer
+/// than `o` agrees with the key on its first `o` bits; a lookup starts at
+/// the direct table (offset `s`, or the root when `s = 0`) and descends
+/// one node per internal level, six bits at a time. Only exact for
+/// `aggregate(false)` tables, where no subtree is folded away.
+mod descent {
+    use super::*;
+    use poptrie_bitops::Bits;
+
+    fn reference_depth<K: Bits>(routes: &[Prefix<K>], s: u32, key: K) -> u32 {
+        let internal = |o: u32| {
+            let mask = K::prefix_mask(o);
+            routes
+                .iter()
+                .any(|p| u32::from(p.len()) > o && p.addr().and(mask) == key.and(mask))
+        };
+        if s != 0 && !internal(s) {
+            return 0;
+        }
+        let mut depth = 1;
+        let mut o = s + 6;
+        while o < K::BITS && internal(o) {
+            depth += 1;
+            o += 6;
+        }
+        depth
+    }
+
+    /// Probe keys: every route's first and last address, a neighbour
+    /// just past each, and uniformly random keys.
+    fn probes<K: Bits>(
+        rng: &mut StdRng,
+        routes: &[Prefix<K>],
+        random: impl Fn(&mut StdRng) -> K,
+    ) -> Vec<K> {
+        let mut keys = Vec::new();
+        for p in routes {
+            let host = K::ONES.to_u128() ^ K::prefix_mask(u32::from(p.len())).to_u128();
+            let last = p.addr().to_u128() | host;
+            keys.push(p.addr());
+            keys.push(K::from_u128(last));
+            keys.push(K::from_u128(last.wrapping_add(1)));
+        }
+        keys.extend((0..512).map(|_| random(rng)));
+        keys
+    }
+
+    fn check<K: Bits>(rib: &RadixTree<K, u16>, keys: &[K]) {
+        let routes: Vec<Prefix<K>> = rib.iter().map(|(p, _)| p).collect();
+        for s in [0u8, 6, 8, 16, 18] {
+            let t: Poptrie<K> = Builder::new().direct_bits(s).aggregate(false).build(rib);
+            for &k in keys {
+                assert_eq!(
+                    t.descent_depth(k),
+                    reference_depth(&routes, u32::from(s), k),
+                    "s={s} key={k:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_rib_reference_v4() {
+        let mut rng = StdRng::seed_from_u64(0xDE97);
+        let mut rib = random_v4_table(&mut rng, 300);
+        rib.insert(p4("0.0.0.0/0"), 1);
+        rib.insert(p4("203.0.113.77/32"), 2);
+        let routes: Vec<Prefix<u32>> = rib.iter().map(|(p, _)| p).collect();
+        let keys = probes(&mut rng, &routes, |r| r.gen::<u32>());
+        check(&rib, &keys);
+        check(&RadixTree::new(), &keys);
+    }
+
+    #[test]
+    fn matches_rib_reference_v6() {
+        let mut rng = StdRng::seed_from_u64(0xDE98);
+        let mut rib: RadixTree<u128, u16> = RadixTree::new();
+        let base: u128 = 0x2001_0db8 << 96;
+        while rib.len() < 200 {
+            let len = *[16u8, 32, 40, 48, 56, 64, 96, 128]
+                .choose(&mut rng)
+                .unwrap();
+            // Most routes under one /32 so chains nest and run deep.
+            let addr = if rng.gen_bool(0.8) {
+                base | (rng.gen::<u128>() >> 32)
+            } else {
+                rng.gen()
+            };
+            rib.insert(Prefix::new(addr, len), rng.gen_range(1..=64u16));
+        }
+        let routes: Vec<Prefix<u128>> = rib.iter().map(|(p, _)| p).collect();
+        let keys = probes(&mut rng, &routes, |r| {
+            if r.gen_bool(0.5) {
+                base | (r.gen::<u128>() >> 32)
+            } else {
+                r.gen()
+            }
+        });
+        check(&rib, &keys);
+    }
+
+    #[test]
+    fn incremental_fib_matches_rib_reference() {
+        let mut rng = StdRng::seed_from_u64(0xDE99);
+        let mut fib: Fib<u32> = Fib::with_config(cfg(16));
+        let pool: Vec<Prefix<u32>> = random_v4_table(&mut rng, 200)
+            .iter()
+            .map(|(p, _)| p)
+            .collect();
+        for i in 0..600 {
+            let p = pool[rng.gen_range(0..pool.len())];
+            if i % 3 == 2 {
+                fib.remove(p).unwrap();
+            } else {
+                fib.insert(p, rng.gen_range(1..=64u16)).unwrap();
+            }
+        }
+        let routes: Vec<Prefix<u32>> = fib.rib().iter().map(|(p, _)| p).collect();
+        for k in probes(&mut rng, &pool, |r| r.gen::<u32>()) {
+            assert_eq!(
+                fib.poptrie().descent_depth(k),
+                reference_depth(&routes, 16, k),
+                "key={k:#x}"
+            );
+        }
+    }
+}
+
 mod compression {
     use super::*;
 

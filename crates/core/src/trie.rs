@@ -223,10 +223,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             // `direct.len() == 1 << s` by construction.
             let entry = unsafe { *self.direct.get_unchecked(di) };
             if entry & DIRECT_LEAF_BIT != 0 {
-                #[cfg(feature = "telemetry")]
-                crate::telemetry::record_direct_hit(false);
-                #[cfg(feature = "trace")]
-                crate::phase::record_phase_direct();
                 return (entry & !DIRECT_LEAF_BIT) as NextHop;
             }
             index = entry;
@@ -261,14 +257,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 // Algorithm 1 line 13–15 / Algorithm 2.
                 let li = (node.base0() + node.leaf_rank(v) - 1) as usize;
                 debug_assert!(li < self.leaf_slots());
-                #[cfg(feature = "telemetry")]
-                crate::telemetry::record_leaf_resolution(
-                    false,
-                    (offset - self.s as u32) / 6 + 1,
-                    N::COMPRESSES_LEAVES,
-                );
-                #[cfg(feature = "trace")]
-                crate::phase::record_phase_descent((offset - self.s as u32) / 6 + 1);
                 // SAFETY: `leaf_rank(v)` is in `1..=leaf_count()` for a
                 // relevant slot and the node's leaf block
                 // `[base0, base0 + leaf_count)` is live leaf storage.
@@ -277,22 +265,24 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         }
     }
 
-    /// Classify the phase a lookup of `key` resolves in — direct-table
-    /// hit or descent of a given depth — without touching the phase
-    /// counters or the route result. The `repro trace` harness uses this
-    /// to partition a traffic sample into per-phase batches before
-    /// measuring each partition under the perf-counter group, so the
-    /// attribution ("direct hits cost X cycles, depth-d descents cost Y")
-    /// is measured, not inferred.
-    #[cfg(feature = "trace")]
-    pub fn lookup_phase(&self, key: K) -> crate::phase::LookupPhase {
+    /// How deep a lookup of `key` goes: 0 when the §3.4 direct table
+    /// resolves it, otherwise the number `d ≥ 1` of internal nodes the
+    /// popcount descent visits before reaching the leaf (cf. Fig. 11).
+    /// A lookup costs one direct probe plus `d` node loads and one leaf
+    /// load, so the distribution of this value over a key sample is the
+    /// structure's memory-access profile for that traffic.
+    ///
+    /// A pure query — the lookup path itself counts nothing. The engine
+    /// applies it to the flight recorder's 1-in-N sampled batches
+    /// (`poptrie_engine_lookup_depth`), and `repro trace` partitions
+    /// traffic by it for per-phase cost attribution.
+    pub fn descent_depth(&self, key: K) -> u32 {
         let mut index: u32;
         let mut offset: u32;
         if self.s != 0 {
-            let di = key.extract(0, self.s as u32) as usize;
-            let entry = self.direct[di];
+            let entry = self.direct[key.extract(0, self.s as u32) as usize];
             if entry & DIRECT_LEAF_BIT != 0 {
-                return crate::phase::LookupPhase::Direct;
+                return 0;
             }
             index = entry;
             offset = self.s as u32;
@@ -304,12 +294,11 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             let node = &self.nodes[index as usize];
             let v = key.extract(offset, 6);
             let vector = node.vector();
-            if vector & (1u64 << v) != 0 {
-                index = node.base1() + rank1(vector, v) - 1;
-                offset += 6;
-            } else {
-                return crate::phase::LookupPhase::Descent((offset - self.s as u32) / 6 + 1);
+            if vector & (1u64 << v) == 0 {
+                return (offset - self.s as u32) / 6 + 1;
             }
+            index = node.base1() + rank1(vector, v) - 1;
+            offset += 6;
         }
     }
 
@@ -395,10 +384,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 // s bits and `direct.len() == 1 << s`.
                 let entry = unsafe { *self.direct.get_unchecked(di) };
                 if entry & DIRECT_LEAF_BIT != 0 {
-                    #[cfg(feature = "telemetry")]
-                    crate::telemetry::record_direct_hit(true);
-                    #[cfg(feature = "trace")]
-                    crate::phase::record_phase_direct();
                     out[i] = (entry & !DIRECT_LEAF_BIT) as NextHop;
                 } else {
                     index[i] = entry;
@@ -424,8 +409,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     /// was prefetched last round (`leaf_mask`).
     fn lookup_batch_chunk(&self, keys: &[K], out: &mut [NextHop]) {
         debug_assert!(keys.len() <= BATCH_LANES && keys.len() == out.len());
-        #[cfg(feature = "telemetry")]
-        crate::telemetry::record_batch_call(keys.len());
         let mut index = [0u32; BATCH_LANES];
         let mut offset = [0u32; BATCH_LANES];
         let mut leaf = [0u32; BATCH_LANES];
@@ -484,14 +467,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                     leaf[i] = li;
                     live &= !(1 << i);
                     leaf_mask |= 1 << i;
-                    #[cfg(feature = "telemetry")]
-                    crate::telemetry::record_leaf_resolution(
-                        true,
-                        (offset[i] - self.s as u32) / 6 + 1,
-                        N::COMPRESSES_LEAVES,
-                    );
-                    #[cfg(feature = "trace")]
-                    crate::phase::record_phase_descent((offset[i] - self.s as u32) / 6 + 1);
                     self.prefetch_leaf(li as usize);
                 }
             }

@@ -56,7 +56,6 @@ use poptrie_vrf::VrfTable;
 
 use poptrie_telemetry::Log2Histogram;
 
-#[cfg(feature = "trace")]
 use poptrie_trace::{pack_worker_tier, EventKind, Recorder, RingWriter};
 
 use crate::affinity;
@@ -82,8 +81,7 @@ type Stamped<K> = (Instant, Option<VrfId>, Arc<[K]>);
 /// none; see [`Control::send_spanned`]), the VRF it targets (`None` =
 /// the engine's own FIB), and the update itself. The span word rides
 /// along unconditionally — it is 8 bytes per queued event and never
-/// touched on the hot path — so the control-plane API is identical with
-/// and without the `trace` feature.
+/// touched on the hot path — whether or not a recorder is attached.
 type StampedUpdate<K> = (Instant, u64, Option<VrfId>, RouteUpdate<K>);
 
 /// An out-of-range worker or source index handed to one of the engine's
@@ -144,7 +142,6 @@ pub struct EngineConfig<K: Bits> {
     vrfs: Option<Arc<VrfTable<K>>>,
     on_batch: Option<BatchHook<K>>,
     on_publish: Option<PublishHook<K>>,
-    #[cfg(feature = "trace")]
     recorder: Option<Recorder>,
 }
 
@@ -184,7 +181,6 @@ impl<K: Bits> EngineConfig<K> {
             vrfs: None,
             on_batch: None,
             on_publish: None,
-            #[cfg(feature = "trace")]
             recorder: None,
         }
     }
@@ -288,11 +284,11 @@ impl<K: Bits> EngineConfig<K> {
     /// named `worker{i}` and the writer registers `writer`. Workers
     /// record the ingress → dequeue → lookup slice for 1-in-N sampled
     /// batches (N = the recorder's sample divisor) plus every snapshot
-    /// adoption; the writer records every burst, spanned update apply,
-    /// and per-replica publish. Only available with the `trace` feature
-    /// — without it this method does not exist and the engine contains
-    /// no recorder code at all.
-    #[cfg(feature = "trace")]
+    /// adoption, and on each sampled batch they record every key's
+    /// [`descent_depth`](poptrie::trie::PoptrieImpl::descent_depth) into
+    /// [`EngineTelemetry::lookup_depth`]. The writer records every
+    /// burst, spanned update apply, and per-replica publish. Without a
+    /// recorder (the default) a worker pays one `Option` test per batch.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -433,13 +429,7 @@ impl<K: Bits> Ingress<K> {
             let w = (start + i) % n;
             match self.queues[w].try_push_from(self.source, self.quota, stamped) {
                 Ok(depth) => {
-                    self.stats.submitted_batches.inc();
-                    self.stats.worker(w).queue_depth.record_max(depth as u64);
-                    if self.source != NO_SOURCE {
-                        self.stats.sources()[self.source as usize]
-                            .submitted_batches
-                            .inc();
-                    }
+                    self.count_accept(w, packets, depth);
                     return Ok(w);
                 }
                 Err(PushError::Full(s)) | Err(PushError::Closed(s)) => stamped = s,
@@ -880,7 +870,6 @@ impl<K: Bits> Engine<K> {
             let delay = config.batch_delay;
             let pin = config.pin_workers;
             let qos = config.qos;
-            #[cfg(feature = "trace")]
             let recorder = config.recorder.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("fwd-worker-{idx}"))
@@ -888,24 +877,7 @@ impl<K: Bits> Engine<K> {
                     if pin {
                         let _ = affinity::pin_current_thread(idx);
                     }
-                    #[cfg(feature = "trace")]
-                    {
-                        let tracer = recorder.map(|r| r.register(&format!("worker{idx}")));
-                        worker_main(
-                            idx,
-                            replica,
-                            &fib,
-                            vrfs.as_deref(),
-                            &queue,
-                            &stats,
-                            &flag,
-                            delay,
-                            qos,
-                            hook.as_ref(),
-                            tracer.as_ref(),
-                        );
-                    }
-                    #[cfg(not(feature = "trace"))]
+                    let tracer = recorder.map(|r| r.register(&format!("worker{idx}")));
                     worker_main(
                         idx,
                         replica,
@@ -917,6 +889,7 @@ impl<K: Bits> Engine<K> {
                         delay,
                         qos,
                         hook.as_ref(),
+                        tracer.as_ref(),
                     );
                 })
                 .expect("spawn forwarding worker");
@@ -930,25 +903,11 @@ impl<K: Bits> Engine<K> {
             let vrfs = config.vrfs.clone();
             let hook = config.on_publish.clone();
             let window = config.coalesce_window;
-            #[cfg(feature = "trace")]
             let recorder = config.recorder.clone();
             std::thread::Builder::new()
                 .name("fib-writer".to_string())
                 .spawn(move || {
-                    #[cfg(feature = "trace")]
-                    {
-                        let tracer = recorder.map(|r| r.register("writer"));
-                        writer_main(
-                            &replicas,
-                            vrfs.as_deref(),
-                            &queue,
-                            &stats,
-                            window,
-                            hook.as_ref(),
-                            tracer.as_ref(),
-                        );
-                    }
-                    #[cfg(not(feature = "trace"))]
+                    let tracer = recorder.map(|r| r.register("writer"));
                     writer_main(
                         &replicas,
                         vrfs.as_deref(),
@@ -956,6 +915,7 @@ impl<K: Bits> Engine<K> {
                         &stats,
                         window,
                         hook.as_ref(),
+                        tracer.as_ref(),
                     );
                 })
                 .expect("spawn control-plane writer")
@@ -1192,17 +1152,14 @@ fn worker_main<K: Bits>(
     delay: Duration,
     qos: QosPolicy,
     hook: Option<&BatchHook<K>>,
-    #[cfg(feature = "trace")] tracer: Option<&RingWriter>,
+    tracer: Option<&RingWriter>,
 ) {
-    #[cfg(not(feature = "trace"))]
-    let _ = replica;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut out: Vec<NextHop> = Vec::new();
             // Last snapshot version this worker served against: a change
             // is this worker's adoption of a newly published snapshot —
             // the closing event of a convergence span.
-            #[cfg(feature = "trace")]
             let mut last_version: u64 = 0;
             while let Some((source, (enqueued, vrf, batch))) = queue.pop_entry() {
                 let w = stats.worker(idx);
@@ -1212,8 +1169,7 @@ fn worker_main<K: Bits>(
                 // The per-batch sampling gate: decide once at dequeue so
                 // a sampled batch carries its whole ingress → dequeue →
                 // lookup slice coherently.
-                #[cfg(feature = "trace")]
-                let sampled = tracer.map(|t| t.tick()).unwrap_or(false);
+                let sampled = tracer.is_some_and(RingWriter::tick);
                 // Deadline check at pop, *before* the chaos delay: the
                 // drop decision reflects only real queueing, so tests
                 // with a deterministic batch_delay get exact counts.
@@ -1268,7 +1224,6 @@ fn worker_main<K: Bits>(
                 w.packets.add(batch.len() as u64);
                 w.batches.inc();
                 w.snapshot_version.set(snap.version());
-                #[cfg(feature = "trace")]
                 if let Some(t) = tracer {
                     let tier = match snap.batch_backend() {
                         poptrie_bitops::BatchBackend::Scalar => 0,
@@ -1276,6 +1231,9 @@ fn worker_main<K: Bits>(
                         poptrie_bitops::BatchBackend::Avx512 => 2,
                     };
                     if sampled {
+                        for &k in batch.iter() {
+                            stats.lookup_depth.record(snap.descent_depth(k) as usize);
+                        }
                         let enq_ns = t.instant_ns(enqueued);
                         let start_ns = t.instant_ns(served_at);
                         let wait_ns = wait.as_nanos() as u64;
@@ -1349,7 +1307,7 @@ fn writer_main<K: Bits>(
     stats: &EngineTelemetry,
     window: usize,
     hook: Option<&PublishHook<K>>,
-    #[cfg(feature = "trace")] tracer: Option<&RingWriter>,
+    tracer: Option<&RingWriter>,
 ) {
     let fib = &replicas[0];
     loop {
@@ -1381,7 +1339,6 @@ fn writer_main<K: Bits>(
                 coalesced.reverse();
                 vrf_bound.reverse();
                 let merged = buf.len() - coalesced.len() - vrf_bound.len();
-                #[cfg(feature = "trace")]
                 if let Some(t) = tracer {
                     t.record(EventKind::WriterBurst, 0, buf.len() as u64, merged as u32);
                 }
@@ -1431,7 +1388,6 @@ fn writer_main<K: Bits>(
                 stats.update_events.add(buf.len() as u64);
                 stats.updates_coalesced.add(merged as u64);
                 if let Some(outcome) = outcome {
-                    #[cfg(feature = "trace")]
                     if let Some(t) = tracer {
                         // Every spanned event in the burst converged at
                         // this version — coalesced-away events too
@@ -1447,12 +1403,9 @@ fn writer_main<K: Bits>(
                     for (ri, replica) in replicas.iter().enumerate().skip(1) {
                         replica.update_batch(coalesced.iter().copied());
                         stats.replica_publishes.inc();
-                        #[cfg(feature = "trace")]
                         if let Some(t) = tracer {
                             t.record(EventKind::ReplicaPublish, 0, outcome.version, ri as u32);
                         }
-                        #[cfg(not(feature = "trace"))]
-                        let _ = ri;
                     }
                     stats.updates_applied.add(outcome.applied as u64);
                     stats.publishes.inc();

@@ -34,7 +34,13 @@
 //! * **graceful shutdown**: close queues, drain, join with a deadline,
 //!   report what happened ([`EngineReport`]);
 //! * **telemetry**: every edge counted under `poptrie_engine_*` metric
-//!   families ([`EngineTelemetry`]).
+//!   families ([`EngineTelemetry`]);
+//! * **flight recorder** ([`EngineConfig::recorder`], a runtime option):
+//!   on the recorder's deterministic 1-in-N sampled batches a worker
+//!   records the batch's event slice and the
+//!   [`descent_depth`](poptrie::trie::PoptrieImpl::descent_depth) of every key
+//!   into [`EngineTelemetry::lookup_depth`]. With no recorder attached
+//!   the cost is one `Option` test per batch.
 //!
 //! ## Quick start
 //!

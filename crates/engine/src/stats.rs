@@ -2,12 +2,13 @@
 //! control-plane edge, and a Prometheus/JSON exposition surface.
 //!
 //! All metric families are prefixed `poptrie_engine_` (the core crate's
-//! optional lookup instrumentation owns the bare `poptrie_` families).
+//! update-path counters own the bare `poptrie_` families).
 //! Counters are the sharded cache-padded primitives from
 //! `poptrie-telemetry`, so workers on different cores never contend on a
 //! statistics cache line.
 
-use poptrie_telemetry::{Counter, Gauge, Log2Histogram, TelemetryRegistry};
+use poptrie::telemetry::DEPTH_BUCKETS;
+use poptrie_telemetry::{Counter, Gauge, Histogram, Log2Histogram, TelemetryRegistry};
 
 /// Per-worker dataplane counters.
 #[derive(Debug, Default)]
@@ -81,6 +82,11 @@ pub struct EngineTelemetry {
     pub dropped_packets: Counter,
     /// Distribution of accepted batch sizes (keys per batch).
     pub batch_size: Log2Histogram,
+    /// Trie descent depth of every key in the flight recorder's 1-in-N
+    /// sampled batches (bucket = internal nodes visited, 0 = direct-table
+    /// hit; cf. Fig. 11). Stays empty unless a recorder is attached
+    /// ([`EngineConfig::recorder`](crate::EngineConfig::recorder)).
+    pub lookup_depth: Histogram<DEPTH_BUCKETS>,
     /// RCU snapshots published by the control-plane writer.
     pub publishes: Counter,
     /// Route-update events consumed from the control channel.
@@ -140,6 +146,7 @@ impl EngineTelemetry {
             dropped_batches: Counter::new(),
             dropped_packets: Counter::new(),
             batch_size: Log2Histogram::new(),
+            lookup_depth: Histogram::new(),
             publishes: Counter::new(),
             update_events: Counter::new(),
             updates_applied: Counter::new(),
@@ -447,6 +454,20 @@ impl EngineTelemetry {
             &[],
             &bounds,
             self.batch_size.sum() as f64,
+        );
+        let depth = self.lookup_depth.counts();
+        let bounds: Vec<(f64, u64)> = depth
+            .iter()
+            .enumerate()
+            .map(|(d, &n)| (d as f64, n))
+            .collect();
+        let sum: u64 = depth.iter().enumerate().map(|(d, &n)| d as u64 * n).sum();
+        reg.histogram(
+            "poptrie_engine_lookup_depth",
+            "Trie descent depth per key in recorder-sampled batches (0 = direct-table hit; cf. Fig. 11).",
+            &[],
+            &bounds,
+            sum as f64,
         );
         reg
     }

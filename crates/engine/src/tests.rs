@@ -623,4 +623,88 @@ mod engine {
         assert_eq!(report.dropped_batches, 1, "the hostile try_submit_vrf");
         vrfs.audit().unwrap();
     }
+
+    /// Every accepted batch lands in the `batch_size` histogram, whichever
+    /// ingress method accepted it.
+    #[test]
+    fn batch_size_histogram_counts_every_accepted_batch() {
+        let fib = shared(&[("10.0.0.0/8", 1)]);
+        let cfg = PoptrieConfig::new().direct_bits(16).build().unwrap();
+        let vrfs = Arc::new(VrfTable::<u32>::shared(cfg, 1 << 16));
+        let tenant = vrfs.create();
+        let engine = Engine::start(
+            Arc::clone(&fib),
+            EngineConfig::new(2)
+                .pin_workers(false)
+                .vrfs(Arc::clone(&vrfs)),
+        );
+        let ingress = engine.ingress();
+        for i in 0..12u32 {
+            let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32; 1 + i as usize]);
+            loop {
+                let accepted = match i % 3 {
+                    0 => ingress.try_submit(Arc::clone(&batch)).is_ok(),
+                    1 => ingress.try_submit_to(1, Arc::clone(&batch)).is_ok(),
+                    _ => ingress.try_submit_vrf(tenant, Arc::clone(&batch)).is_ok(),
+                };
+                if accepted {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let t = engine.telemetry();
+        let report = engine.shutdown(Duration::from_secs(10));
+        assert!(report.drained_clean);
+        assert_eq!(t.submitted_batches.get(), 12);
+        assert_eq!(t.batch_size.total(), t.submitted_batches.get());
+        assert_eq!(t.batch_size.sum(), (1..=12).sum::<u64>());
+        assert_eq!(t.lookup_depth.total(), 0, "no recorder, no depth samples");
+    }
+
+    /// With a 1-in-N recorder, the engine's depth histogram holds exactly
+    /// the `descent_depth` of every key in the batches the deterministic
+    /// gate selects: batches 0, N, 2N, … of a single worker's queue.
+    #[test]
+    fn recorder_samples_lookup_depth_of_gated_batches() {
+        use poptrie::telemetry::DEPTH_BUCKETS;
+        use poptrie_trace::{Recorder, TraceConfig};
+
+        const SAMPLE: u64 = 4;
+        let fib = shared(&[
+            ("10.0.0.0/8", 1),
+            ("10.1.0.0/16", 2),
+            ("10.1.2.0/24", 3),
+            ("10.1.2.128/28", 4),
+        ]);
+        let rec = Recorder::new(TraceConfig {
+            capacity: 1 << 12,
+            sample: SAMPLE,
+        });
+        let engine = Engine::start(
+            Arc::clone(&fib),
+            EngineConfig::new(1).pin_workers(false).recorder(rec),
+        );
+        let ingress = engine.ingress();
+        let snap = fib.snapshot();
+        let mut want = [0u64; DEPTH_BUCKETS];
+        for i in 0..32u32 {
+            let batch: Vec<u32> = (0..=i).map(|j| 0x0A01_0280 + j * 0x0101).collect();
+            if u64::from(i) % SAMPLE == 0 {
+                for &k in &batch {
+                    want[snap.descent_depth(k) as usize] += 1;
+                }
+            }
+            let mut b: Arc<[u32]> = Arc::from(batch);
+            while let Err(back) = ingress.try_submit_to(0, b) {
+                b = back;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let t = engine.telemetry();
+        let report = engine.shutdown(Duration::from_secs(10));
+        assert!(report.drained_clean);
+        assert_eq!(t.lookup_depth.counts(), want);
+        assert!(want[2..].iter().sum::<u64>() > 0, "keys reach the /28");
+    }
 }

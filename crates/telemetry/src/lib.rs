@@ -11,19 +11,18 @@
 //!   never contend on one line;
 //! * [`Gauge`] — a point-in-time value with `set`/`record_max` semantics
 //!   (peak tracking for outstanding RCU snapshots, fragmentation levels);
-//! * [`Histogram`] — a fixed-bucket distribution (trie descent depth,
-//!   batch-lane fill), sharded like [`Counter`];
+//! * [`Histogram`] — a fixed-bucket distribution (sampled trie descent
+//!   depth), sharded like [`Counter`];
 //! * [`Log2Histogram`] — power-of-two buckets plus a sum, for latency
 //!   distributions in TSC cycles (§4.9's update cost);
 //! * [`TelemetryRegistry`] — a materialized snapshot of metric values that
 //!   renders as Prometheus text exposition format or as flat JSON.
 //!
-//! The primitives know nothing about Poptrie: the instrumented crate
-//! (`poptrie` under its `telemetry` feature) declares `static` metrics,
-//! increments them from the hot paths, and flushes them into a
-//! [`TelemetryRegistry`] on demand. With the feature off, none of this
-//! crate is linked at all — the zero-cost path is the *absence* of code,
-//! not a runtime branch.
+//! The primitives know nothing about Poptrie: the instrumented crates
+//! (`poptrie`'s update path, the forwarding engine, the BGP session)
+//! declare metrics, increment them at most once per update or per
+//! batch, and flush them into a [`TelemetryRegistry`] on demand. No
+//! per-lookup counter exists: lookup depth is sampled, not counted.
 //!
 //! # Memory-ordering contract
 //!
@@ -31,7 +30,7 @@
 //! writers sees a value that was current at some recent instant, not a
 //! linearizable cut across all metrics. That is the standard contract of
 //! Prometheus-style scraping and is what keeps the increment cheap enough
-//! to put inside a ~20-cycle lookup.
+//! to put on every batch and every update.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -9,10 +9,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when absent.** Consumers gate every call site behind
-//!    a `trace` cargo feature (the same technique as `telemetry`), so
-//!    the default build contains no recorder code at all — CI greps the
-//!    release artifacts to prove it.
+//! 1. **Near-zero cost when absent.** The recorder is a runtime option
+//!    of every build: consumers hold an `Option<RingWriter>` and, with
+//!    none attached, pay one branch per unit of work (a batch, a burst).
 //! 2. **Cheap enough to leave on.** One SPSC ring per recording thread
 //!    ([`Recorder::register`]), fixed 32-byte binary events, a
 //!    deterministic 1-in-N sampling gate ([`RingWriter::tick`]), and

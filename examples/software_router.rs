@@ -14,18 +14,17 @@
 //! cargo run --release --example software_router
 //! ```
 //!
-//! With the `telemetry` feature the router also behaves like a production
-//! data plane with a metrics endpoint, dumping the full Prometheus-format
-//! page at shutdown:
-//!
-//! ```text
-//! cargo run --release --features telemetry --example software_router
-//! ```
+//! Like a production data plane with a metrics endpoint, it dumps the
+//! full Prometheus-format page at shutdown: the core's update counters
+//! and FIB structure, the engine's counters, and the trie descent depth
+//! of the keys in every 64th batch, sampled by a flight recorder attached
+//! at runtime.
 
 use poptrie_suite::poptrie::sync::SharedFib;
 use poptrie_suite::poptrie::PoptrieConfig;
 use poptrie_suite::prelude::{Engine, EngineConfig};
 use poptrie_suite::tablegen::{TableKind, TableSpec};
+use poptrie_suite::trace::{Recorder, TraceConfig};
 use poptrie_suite::traffic::Xorshift128;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,20 +67,26 @@ fn main() {
 
     // Interface 0 is the drop counter (no matching route).
     let interfaces: Arc<Vec<Interface>> = Arc::new((0..25).map(|_| Interface::default()).collect());
+    let recorder = Recorder::new(TraceConfig {
+        capacity: 4096,
+        sample: 64,
+    });
     let engine = Engine::start(
         Arc::clone(&fib),
-        EngineConfig::new(WORKERS).on_batch({
-            let interfaces = Arc::clone(&interfaces);
-            Arc::new(move |_worker, keys: &[u32], out, _version| {
-                for (dst, &egress) in keys.iter().zip(out) {
-                    // IPv4 minimum frame is 64 bytes; synthetic size mix.
-                    let ifc = &interfaces[egress as usize];
-                    ifc.packets.fetch_add(1, Ordering::Relaxed);
-                    ifc.bytes
-                        .fetch_add(64 + (dst & 0x3FF) as u64, Ordering::Relaxed);
-                }
-            })
-        }),
+        EngineConfig::new(WORKERS)
+            .recorder(recorder.clone())
+            .on_batch({
+                let interfaces = Arc::clone(&interfaces);
+                Arc::new(move |_worker, keys: &[u32], out, _version| {
+                    for (dst, &egress) in keys.iter().zip(out) {
+                        // IPv4 minimum frame is 64 bytes; synthetic size mix.
+                        let ifc = &interfaces[egress as usize];
+                        ifc.packets.fetch_add(1, Ordering::Relaxed);
+                        ifc.bytes
+                            .fetch_add(64 + (dst & 0x3FF) as u64, Ordering::Relaxed);
+                    }
+                })
+            }),
     );
 
     // The BGP session: a route source on its own thread, announcing and
@@ -128,6 +133,7 @@ fn main() {
             std::thread::sleep(Duration::from_micros(50));
         }
     }
+    let engine_stats = engine.telemetry();
     let report = engine.shutdown(Duration::from_secs(10));
     let dt = start.elapsed().as_secs_f64();
     let flaps = bgp.join().expect("BGP thread");
@@ -175,15 +181,11 @@ fn main() {
     }
 
     // Shutdown dump: the full metrics page a scraper would have fetched.
-    #[cfg(feature = "telemetry")]
-    {
-        use poptrie_suite::poptrie::telemetry;
-        println!("\n# final telemetry (Prometheus text format)");
-        print!(
-            "{}",
-            telemetry::snapshot()
-                .attach_structure(&fib.snapshot())
-                .render_prometheus()
-        );
-    }
+    let mut page = poptrie_suite::poptrie::telemetry::snapshot()
+        .attach_structure(&fib.snapshot())
+        .registry();
+    page.merge(engine_stats.registry());
+    page.merge(recorder.registry());
+    println!("\n# final telemetry (Prometheus text format)");
+    print!("{}", page.render_prometheus());
 }

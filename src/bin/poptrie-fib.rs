@@ -41,10 +41,8 @@ usage:
   poptrie-fib gen <dataset-name> [-o rib.txt]
   poptrie-fib mrt-extract <dump.mrt> --peer <index> [-o rib.txt]
 
-options:
-  --telemetry   after the command, dump the process-wide lookup/update
-                counters in Prometheus text format (requires a build with
-                --features telemetry)
+lookup prints each address's next hop and its trie descent depth
+(0 = resolved by the direct table).
 ";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -52,7 +50,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut out_path: Option<String> = None;
     let mut direct_bits: u8 = 18;
     let mut aggregate = true;
-    let mut telemetry = false;
     let mut peer: Option<u16> = None;
     let mut limit: Option<usize> = None;
     let mut it = args.iter();
@@ -69,7 +66,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "invalid --direct-bits")?;
             }
             "--no-aggregate" => aggregate = false,
-            "--telemetry" => telemetry = true,
             "--peer" => {
                 peer = Some(
                     it.next()
@@ -97,7 +93,7 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{USAGE}");
         return Err("no command given".into());
     };
-    let result = match cmd.as_str() {
+    match cmd.as_str() {
         "build" => build(&pos[1..], out_path, direct_bits, aggregate),
         "lookup" => lookup(&pos[1..]),
         "stats" => stats(&pos[1..]),
@@ -105,30 +101,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "gen" => gen(&pos[1..], out_path),
         "mrt-extract" => mrt_extract(&pos[1..], peer, out_path),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
-    if telemetry && result.is_ok() {
-        dump_telemetry();
     }
-    result
-}
-
-/// `--telemetry`: dump the process-wide counters the command just drove
-/// (lookup totals, descent-depth histogram, update work) as Prometheus
-/// text.
-#[cfg(feature = "telemetry")]
-fn dump_telemetry() {
-    use poptrie_suite::poptrie::telemetry;
-    println!("\n# --telemetry dump (process-wide counters)");
-    print!("{}", telemetry::snapshot().render_prometheus());
-}
-
-/// Without the `telemetry` feature the counters are compiled out.
-#[cfg(not(feature = "telemetry"))]
-fn dump_telemetry() {
-    eprintln!(
-        "poptrie-fib: --telemetry requires a build with the counters compiled in:\n  \
-         cargo run --release --features telemetry --bin poptrie-fib -- ..."
-    );
 }
 
 /// Load a FIB from either a compiled blob or a text RIB.
@@ -187,9 +160,10 @@ fn lookup(pos: &[String]) -> Result<(), String> {
     let fib = load_fib(input)?;
     for a in addrs {
         let ip: Ipv4Addr = a.parse().map_err(|_| format!("invalid address {a:?}"))?;
+        let depth = fib.descent_depth(u32::from(ip));
         match fib.lookup(u32::from(ip)) {
-            Some(nh) => println!("{ip} -> next hop {nh}"),
-            None => println!("{ip} -> no route"),
+            Some(nh) => println!("{ip} -> next hop {nh} (depth {depth})"),
+            None => println!("{ip} -> no route (depth {depth})"),
         }
     }
     Ok(())

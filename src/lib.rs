@@ -67,6 +67,10 @@ pub use poptrie_engine as engine;
 /// Runtime telemetry primitives (re-export of `poptrie-telemetry`).
 pub use poptrie_telemetry as telemetry;
 
+/// Flight recorder: per-thread event rings, convergence spans, perf
+/// counter groups and Chrome trace export (re-export of `poptrie-trace`).
+pub use poptrie_trace as trace;
+
 /// BGP-4 wire codecs, session FSM and fault injection (re-export of
 /// `poptrie-bgp`).
 pub use poptrie_bgp as bgp;

@@ -1,5 +1,4 @@
-//! End-to-end flight-recorder tests (DESIGN.md §12), compiled only
-//! with `--features trace`.
+//! End-to-end flight-recorder tests (DESIGN.md §12).
 //!
 //! The ring-level invariants (wraparound, writer-vs-drainer race,
 //! deterministic sampling gate) live in `poptrie-trace`'s own suite;
@@ -9,8 +8,6 @@
 //! covering its version, and the engine's per-batch sampling must be
 //! deterministic — the same offered batch count yields the same event
 //! count, full or sampled.
-
-#![cfg(feature = "trace")]
 
 use poptrie::sync::{RouteUpdate, SharedFib};
 use poptrie::PoptrieConfig;

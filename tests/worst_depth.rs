@@ -1,6 +1,6 @@
 //! Regression test: the SLO harness's adversarial worst-depth stream
 //! really does drive lookups to the **maximum** trie depth, observed
-//! through the core depth-histogram telemetry (`--features telemetry`).
+//! through [`descent_depth`](poptrie_suite::Poptrie::descent_depth).
 //!
 //! [`WorstDepth`] synthesizes its pool from the installed table's
 //! longest-match chains (binary-radix depth). This test checks the
@@ -10,16 +10,7 @@
 //! every installed route — the worst case the SLO harness is meant to
 //! exercise — and that on this table the maximum equals the analytic
 //! `ceil((32 - s) / 6)` bound.
-//!
-//! Layout note: this file is its own integration-test binary with a
-//! single `#[test]`. The core telemetry counters are process-wide
-//! statics (see `tests/telemetry.rs`); keeping exactly one test in the
-//! binary gives it exclusive ownership of the counters, so the
-//! reset/observe sequences below cannot race with a sibling test.
 
-#![cfg(feature = "telemetry")]
-
-use poptrie_suite::poptrie::telemetry;
 use poptrie_suite::poptrie::{Fib, PoptrieConfig};
 use poptrie_suite::traffic::WorstDepth;
 use poptrie_suite::{NextHop, Prefix};
@@ -33,15 +24,18 @@ fn pfx(addr: u32, len: u8) -> Prefix<u32> {
     Prefix::new(addr & mask, len)
 }
 
-/// Highest depth bucket with any mass, from a telemetry snapshot.
+/// Descent-depth histogram of looking up every key in `keys`.
+fn depth_histogram(fib: &Fib<u32>, keys: impl IntoIterator<Item = u32>) -> Vec<u64> {
+    let mut hist = vec![0u64; 8];
+    for k in keys {
+        hist[fib.poptrie().descent_depth(k) as usize] += 1;
+    }
+    hist
+}
+
+/// Highest depth bucket with any mass.
 fn max_depth(depth: &[u64]) -> usize {
-    depth
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|&(_, &n)| n > 0)
-        .map(|(d, _)| d)
-        .unwrap_or(0)
+    depth.iter().rposition(|&n| n > 0).unwrap_or(0)
 }
 
 #[test]
@@ -75,14 +69,8 @@ fn worst_depth_stream_reaches_maximum_trie_depth() {
     // Baseline: sweep every installed route's network address and record
     // the deepest descent any of them produces. This is the table's true
     // maximum — no traffic pattern can go deeper.
-    telemetry::reset();
-    for &(p, _) in &routes {
-        fib.lookup(p.addr());
-    }
-    let sweep = telemetry::snapshot();
-    let sweep_mass: u64 = sweep.depth.iter().sum();
-    assert_eq!(sweep_mass, routes.len() as u64, "one sample per probe");
-    let full_max = max_depth(&sweep.depth);
+    let sweep = depth_histogram(&fib, routes.iter().map(|(p, _)| p.addr()));
+    let full_max = max_depth(&sweep);
     assert_eq!(
         full_max,
         (32 - DIRECT_BITS as usize).div_ceil(6),
@@ -101,15 +89,8 @@ fn worst_depth_stream_reaches_maximum_trie_depth() {
     let mut stream = vec![0u32; STREAM];
     adversary.fill(&mut stream);
 
-    telemetry::reset();
-    for &addr in &stream {
-        fib.lookup(addr);
-    }
-    let adv = telemetry::snapshot();
-    let adv_mass: u64 = adv.depth.iter().sum();
-    assert_eq!(adv_mass, STREAM as u64, "one depth sample per lookup");
-
-    let adv_max = max_depth(&adv.depth);
+    let adv = depth_histogram(&fib, stream.iter().copied());
+    let adv_max = max_depth(&adv);
     assert_eq!(
         adv_max, full_max,
         "adversarial stream fell short of the table's maximum depth \
@@ -121,12 +102,12 @@ fn worst_depth_stream_reaches_maximum_trie_depth() {
     // stream (minus generous slack) lands at maximum depth.
     let pool = adversary.pool().len() as u64;
     assert!(
-        adv.depth[adv_max] >= (STREAM as u64) / (4 * pool),
+        adv[adv_max] >= (STREAM as u64) / (4 * pool),
         "only {} of {STREAM} lookups reached depth {adv_max} (pool {pool})",
-        adv.depth[adv_max]
+        adv[adv_max]
     );
 
     // And nothing in the stream resolved in the direct table: depth 0
     // would mean the synthesizer picked an address outside every chain.
-    assert_eq!(adv.depth[0], 0, "adversarial stream hit the direct table");
+    assert_eq!(adv[0], 0, "adversarial stream hit the direct table");
 }
